@@ -443,12 +443,6 @@ type (
 	// subprocess (`experiments -worker`) or HTTP (`experiments -serve`
 	// / `-worker-daemon`).
 	WorkerTransport = coordinator.Transport
-	// FanOutOptions tunes one distributed run: the fleet, shard
-	// granularity, retry budgets, straggler speculation, progress.
-	//
-	// Deprecated: build a Fleet with NewFleet and its FleetOptions
-	// instead; FanOutOptions remains for RunDistributedJob callers.
-	FanOutOptions = coordinator.Options
 	// FanOutEvent is one coordinator progress observation (dispatches,
 	// results, retries, dead workers, banked shards, completed rounds).
 	FanOutEvent = coordinator.Event
@@ -485,46 +479,6 @@ const (
 	// of being dispatched at all.
 	EventBanked = coordinator.EventBanked
 )
-
-// RunDistributedJob fans one whole job out over the fleet in opts:
-// each round is split into contiguous shards dispatched to the
-// workers, failed or straggling shards are retried elsewhere (workers
-// that keep failing leave the fleet), and the partials merge into a
-// Report bit-identical (up to summed wall clock) to RunJob's —
-// SE-targeted adaptive rounds included. Like RunAdaptiveJob it returns
-// the accumulated partial of the completed rounds alongside any error.
-//
-// Deprecated: use NewFleet(...).Run — the builder covers the same
-// frozen fleets plus capacity weights, elastic registry membership and
-// checkpoint resume. RunDistributedJob remains as a thin wrapper.
-func RunDistributedJob(ctx context.Context, job Job, opts FanOutOptions) (*Report, error) {
-	return coordinator.Run(ctx, job, opts)
-}
-
-// InProcessWorkers returns n workers executing in this process — the
-// zero-infrastructure fleet (parallelism still comes from the engine's
-// worker pool; use it to exercise the fan-out path, not to go faster).
-//
-// Deprecated: use NewFleet(WithInProcessWorkers(n)); this constructor
-// remains for FanOutOptions callers.
-func InProcessWorkers(n int) []WorkerTransport { return coordinator.InProcessFleet(n) }
-
-// SubprocessWorkers returns n workers exec'ing argv per shard (empty:
-// this binary re-exec'd with -worker — only meaningful for binaries
-// that implement the worker protocol, like cmd/experiments).
-//
-// Deprecated: use NewFleet(WithSubprocessWorkers(n, argv...)); this
-// constructor remains for FanOutOptions callers.
-func SubprocessWorkers(n int, argv ...string) []WorkerTransport {
-	return coordinator.SubprocessFleet(n, argv...)
-}
-
-// HTTPWorkers returns one worker per base URL, each a long-lived
-// `experiments -serve` process here or on another host.
-//
-// Deprecated: use NewFleet(WithWorkerURLs(urls...)); this constructor
-// remains for FanOutOptions callers.
-func HTTPWorkers(urls ...string) []WorkerTransport { return coordinator.HTTPFleet(urls...) }
 
 // Elastic fleet re-exports: registered persistent workers, capacity
 // weights, heartbeat-TTL membership (internal/coordinator).
@@ -571,9 +525,8 @@ func ProbeWorker(ctx context.Context, baseURL string) (WorkerCapabilities, error
 }
 
 // WorkerHandler returns the worker side of the versioned dispatch API:
-// POST /v1/run executes one shard (checkpointed prefix on drain), GET
-// /v1/healthz answers capability probes, and the unversioned legacy
-// paths respond with a Deprecation header. Mount it on the listener a
+// POST /v1/run executes one shard (checkpointed prefix on drain) and GET
+// /v1/healthz answers capability probes. Mount it on the listener a
 // persistent worker advertises (RunWorkerDaemon registers that URL);
 // ctx cancellation drains in-flight shards at their next chunk
 // boundary.

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"chaffmec/internal/coordinator"
 	"chaffmec/internal/rng"
 )
 
@@ -346,52 +347,14 @@ func TestAdaptiveResumeFacade(t *testing.T) {
 	}
 }
 
-// TestRunDistributedJobFacade: the facade's fan-out produces the
-// bit-identical Report of a single-process RunJob — fixed and
-// adaptive — over an in-process fleet.
-func TestRunDistributedJobFacade(t *testing.T) {
-	ctx := context.Background()
-	norm := func(r *Report) string {
-		cl := *r
-		cl.ElapsedMS = 0
-		blob, err := json.Marshal(&cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(blob)
-	}
-	for name, spec := range map[string]ScenarioSpec{
-		"fixed": {Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10, Runs: 40, Seed: 5},
-		"adaptive": {Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10, Runs: 200, Seed: 5,
-			Precision: &ScenarioPrecision{TargetSE: 0.04, MinRuns: 16, MaxRuns: 200}},
-	} {
-		want, err := RunJob(ctx, Job{Spec: spec})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var events []FanOutEvent
-		got, err := RunDistributedJob(ctx, Job{Spec: spec}, FanOutOptions{
-			Workers:  InProcessWorkers(3),
-			Progress: func(e FanOutEvent) { events = append(events, e) },
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if norm(got) != norm(want) {
-			t.Fatalf("%s: distributed report differs from RunJob", name)
-		}
-		if len(events) == 0 {
-			t.Fatalf("%s: no fan-out events observed", name)
-		}
-	}
-}
-
-// TestNewFleetFacade: the builder covers the old constructors — a
-// static fleet's Run matches RunJob bit-for-bit, weights skew the
-// shard shares, and a configured Fleet is reusable across jobs.
+// TestNewFleetFacade: a static fleet's Run matches RunJob bit-for-bit
+// — fixed and SE-targeted adaptive jobs alike — weights skew the shard
+// shares, and a configured Fleet is reusable across jobs.
 func TestNewFleetFacade(t *testing.T) {
 	ctx := context.Background()
 	spec := ScenarioSpec{Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10, Runs: 40, Seed: 5}
+	adaptive := ScenarioSpec{Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10, Runs: 200, Seed: 5,
+		Precision: &ScenarioPrecision{TargetSE: 0.04, MinRuns: 16, MaxRuns: 200}}
 	norm := func(r *Report) string {
 		cl := *r
 		cl.ElapsedMS = 0
@@ -425,6 +388,17 @@ func TestNewFleetFacade(t *testing.T) {
 			t.Fatalf("run %d: fleet report differs from RunJob", round)
 		}
 	}
+	wantAdaptive, err := RunJob(ctx, Job{Spec: adaptive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAdaptive, err := fleet.Run(ctx, Job{Spec: adaptive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(gotAdaptive) != norm(wantAdaptive) {
+		t.Fatal("adaptive fleet report differs from RunJob")
+	}
 	joins := 0
 	for _, e := range events {
 		if e.Kind == EventWorkerJoin {
@@ -442,8 +416,8 @@ func TestNewFleetFacade(t *testing.T) {
 	// Weighted members skew the per-round dispatch shares.
 	var spans []Shard
 	weighted, err := NewFleet(
-		WithWeighted(3, InProcessWorkers(1)[0]),
-		WithWeighted(1, InProcessWorkers(1)[0]),
+		WithWeighted(3, &coordinator.InProcess{Label: "heavy"}),
+		WithWeighted(1, &coordinator.InProcess{Label: "light"}),
 		WithShardsPerWorker(1),
 		WithoutSpeculation(),
 		WithProgress(func(e FanOutEvent) {

@@ -21,9 +21,9 @@ import (
 )
 
 // benchBatch is the block width of the batch kernel legs — the engine's
-// maximum dispatch chunk, i.e. the width the hot path actually runs at
+// RunBlock dispatch width, i.e. the width the hot path actually runs at
 // under the paper protocol.
-const benchBatch = 64
+const benchBatch = engine.BlockWidth
 
 // kernelLeg is one measured kernel: nanoseconds per trajectory slot and
 // heap allocations per Monte-Carlo run (both averaged over the
@@ -34,15 +34,14 @@ type kernelLeg struct {
 	AllocsPerRun float64 `json:"allocs_per_run"`
 }
 
-// kernelsBench is the BENCH_kernels.json artifact: the scalar, batch
-// (flat, pre-tiling) and tiled variants of the two hot kernels (Markov
-// sampling, detector scoring), the cache-geometry calibration sweep,
-// plus the end-to-end paper protocol (1000 runs × T=100, MO) through the
-// batch engine path. The committed BENCH_kernels.baseline.json has the
-// same shape; CI fails when a kernel's ns/slot regresses more than 25%
-// over it, when a batch/tiled kernel allocates per run again, or when
-// the tiled scorer's edge over the flat batch scorer drops under the
-// 1.3x acceptance floor.
+// kernelsBench is the BENCH_kernels.json artifact: the scalar and batch
+// variants of the two hot kernels (Markov sampling, tiled detector
+// scoring), the block-width sweep, plus the end-to-end paper protocol
+// (1000 runs × T=100, MO) through the batch engine path. The committed
+// BENCH_kernels.baseline.json has the same shape; CI fails when a
+// kernel's ns/slot regresses more than 25% over it, when a batch kernel
+// allocates per run again, or when the tiled scorer's edge over the
+// scalar scorer drops under the 1.3x acceptance floor.
 type kernelsBench struct {
 	Stream     string `json:"stream"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -52,18 +51,17 @@ type kernelsBench struct {
 
 	Kernels []kernelLeg `json:"kernels"`
 
-	// SampleSpeedup / ScoreSpeedup are scalar-over-batch ns/slot ratios;
-	// TiledSpeedup is flat-batch over tiled — the tentpole's CI-gated
-	// number.
+	// SampleSpeedup and TiledSpeedup are scalar-over-batch ns/slot
+	// ratios of the sampling and scoring kernels; TiledSpeedup is
+	// CI-gated.
 	SampleSpeedup float64 `json:"sample_speedup"`
-	ScoreSpeedup  float64 `json:"score_speedup"`
 	TiledSpeedup  float64 `json:"tiled_speedup"`
 
-	// CalibratedBlock is tune.BlockSize's measured pick for this kernel
-	// shape on this host; GeometrySweep is the full per-width timing
-	// behind it.
-	CalibratedBlock int              `json:"calibrated_block"`
-	GeometrySweep   []tune.Candidate `json:"geometry_sweep"`
+	// GeometrySweep times the tiled scorer at every candidate block
+	// width on this host; FastestBlock is its winner, reported next to
+	// Batch, the engine's fixed BlockWidth.
+	FastestBlock  int              `json:"fastest_block"`
+	GeometrySweep []tune.Candidate `json:"geometry_sweep"`
 
 	PaperProtocol struct {
 		Runs         int     `json:"runs"`
@@ -100,11 +98,14 @@ func benchKernels(path, basePath string, runs, horizon int, seed int64) error {
 	for _, k := range out.Kernels {
 		fmt.Printf("bench-kernels: %-14s %8.2f ns/slot %8.2f allocs/run\n", k.Name, k.NsPerSlot, k.AllocsPerRun)
 	}
-	fmt.Printf("bench-kernels: tiled speedup %.2fx over flat batch; calibrated block %d (sweep:", out.TiledSpeedup, out.CalibratedBlock)
-	for _, c := range out.GeometrySweep {
-		fmt.Printf(" %d=%.2f", c.BlockSize, c.NsPerLaneSlot)
+	fmt.Printf("bench-kernels: tiled speedup %.2fx over scalar\n", out.TiledSpeedup)
+	width, fastest := sweepRow(out.GeometrySweep, out.Batch), sweepRow(out.GeometrySweep, out.FastestBlock)
+	fmt.Printf("bench-kernels: block width %d at %.2f ns/lane-slot; fastest %d at %.2f\n",
+		width.BlockSize, width.NsPerLaneSlot, fastest.BlockSize, fastest.NsPerLaneSlot)
+	if width.NsPerLaneSlot > 1.10*fastest.NsPerLaneSlot {
+		fmt.Fprintf(os.Stderr, "bench-kernels: warning: block width %d is %.0f%% behind width %d on this host\n",
+			width.BlockSize, 100*(width.NsPerLaneSlot/fastest.NsPerLaneSlot-1), fastest.BlockSize)
 	}
-	fmt.Printf(" ns/lane-slot)\n")
 	fmt.Printf("bench-kernels: paper protocol (%d runs × T=%d, %s): %.1f ms, %.1f allocs/run\n",
 		out.PaperProtocol.Runs, out.PaperProtocol.Horizon, out.PaperProtocol.Strategy,
 		out.PaperProtocol.WallMS, out.PaperProtocol.AllocsPerRun)
@@ -140,17 +141,17 @@ func compareKernels(cur *kernelsBench, basePath string) error {
 				bk.Name, ck.NsPerSlot, bk.NsPerSlot, limit))
 		}
 	}
-	for _, name := range []string{"sample/batch", "score/batch", "score/tiled"} {
+	for _, name := range []string{"sample/batch", "score/tiled"} {
 		if ck := cur.kernel(name); ck != nil && ck.AllocsPerRun >= 1 {
 			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/run, want < 1 (warm batch kernels must not allocate)",
 				name, ck.AllocsPerRun))
 		}
 	}
-	// The tiled scorer's edge over the flat batch scorer is an absolute,
+	// The tiled scorer's edge over the scalar scorer is an absolute,
 	// machine-independent acceptance floor (both run on the same host in
 	// the same process), not a baseline-relative one.
 	if cur.TiledSpeedup > 0 && cur.TiledSpeedup < 1.3 {
-		failures = append(failures, fmt.Sprintf("score/tiled is only %.2fx faster than score/batch, want >= 1.3x",
+		failures = append(failures, fmt.Sprintf("score/tiled is only %.2fx faster than score/scalar, want >= 1.3x",
 			cur.TiledSpeedup))
 	}
 	if len(failures) > 0 {
@@ -272,54 +273,13 @@ func measureKernels(runs, horizon int, seed int64) (*kernelsBench, error) {
 		AllocsPerRun: float64(scalarScore.AllocsPerOp()),
 	})
 
-	batchScore := testing.Benchmark(func(b *testing.B) {
+	// --- tiled scoring at the engine's block width, plus the width sweep ---
+	out.GeometrySweep = tune.Sweep(chain, U, T)
+	out.FastestBlock = fastestBlock(out.GeometrySweep)
+	tiledScore := testing.Benchmark(func(b *testing.B) {
 		ws := detect.NewWorkspace()
 		blk := ws.Block(benchBatch, U, T)
 		for r, trs := range runsTrs {
-			for u, tr := range trs {
-				if err := blk.SetTrajectory(r, u, tr); err != nil {
-					benchErr = err
-					return
-				}
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := det.ScoreBlockFlat(blk, 0); err != nil {
-				benchErr = err
-				return
-			}
-		}
-	})
-	if benchErr != nil {
-		return nil, benchErr
-	}
-	out.Kernels = append(out.Kernels, kernelLeg{
-		Name:         "score/batch",
-		NsPerSlot:    float64(batchScore.NsPerOp()) / float64(benchBatch*T),
-		AllocsPerRun: float64(batchScore.AllocsPerOp()) / benchBatch,
-	})
-
-	// --- tiled scoring at the calibrated block geometry ---
-	out.GeometrySweep = tune.Sweep(chain, U, T)
-	out.CalibratedBlock = tune.BlockSize(chain, U, T)
-	tiledB := out.CalibratedBlock
-	tiledTrs := make([][]markov.Trajectory, tiledB)
-	for r := range tiledTrs {
-		stream := rng.NewRun(seed, r)
-		trs := make([]markov.Trajectory, U)
-		for u := range trs {
-			if trs[u], err = chain.Sample(stream, T); err != nil {
-				return nil, err
-			}
-		}
-		tiledTrs[r] = trs
-	}
-	tiledScore := testing.Benchmark(func(b *testing.B) {
-		ws := detect.NewWorkspace()
-		blk := ws.Block(tiledB, U, T)
-		for r, trs := range tiledTrs {
 			for u, tr := range trs {
 				if err := blk.SetTrajectory(r, u, tr); err != nil {
 					benchErr = err
@@ -341,18 +301,15 @@ func measureKernels(runs, horizon int, seed int64) (*kernelsBench, error) {
 	}
 	out.Kernels = append(out.Kernels, kernelLeg{
 		Name:         "score/tiled",
-		NsPerSlot:    float64(tiledScore.NsPerOp()) / float64(tiledB*T),
-		AllocsPerRun: float64(tiledScore.AllocsPerOp()) / float64(tiledB),
+		NsPerSlot:    float64(tiledScore.NsPerOp()) / float64(benchBatch*T),
+		AllocsPerRun: float64(tiledScore.AllocsPerOp()) / benchBatch,
 	})
 
 	if b := out.kernel("sample/batch").NsPerSlot; b > 0 {
 		out.SampleSpeedup = out.kernel("sample/scalar").NsPerSlot / b
 	}
-	if b := out.kernel("score/batch").NsPerSlot; b > 0 {
-		out.ScoreSpeedup = out.kernel("score/scalar").NsPerSlot / b
-	}
 	if b := out.kernel("score/tiled").NsPerSlot; b > 0 {
-		out.TiledSpeedup = out.kernel("score/batch").NsPerSlot / b
+		out.TiledSpeedup = out.kernel("score/scalar").NsPerSlot / b
 	}
 
 	// --- end-to-end paper protocol through the batch engine path ---
@@ -373,4 +330,26 @@ func measureKernels(runs, horizon int, seed int64) (*kernelsBench, error) {
 		out.PaperProtocol.AllocsPerRun = float64(after.Mallocs-before.Mallocs) / float64(runs)
 	}
 	return out, nil
+}
+
+// fastestBlock returns the sweep's fastest measured width, ties to the
+// smaller (0 when nothing was measured).
+func fastestBlock(sweep []tune.Candidate) int {
+	best, bestNs := 0, 0.0
+	for _, c := range sweep {
+		if c.NsPerLaneSlot > 0 && (bestNs == 0 || c.NsPerLaneSlot < bestNs) {
+			best, bestNs = c.BlockSize, c.NsPerLaneSlot
+		}
+	}
+	return best
+}
+
+// sweepRow returns the sweep's row for width b (zero when absent).
+func sweepRow(sweep []tune.Candidate, b int) tune.Candidate {
+	for _, c := range sweep {
+		if c.BlockSize == b {
+			return c
+		}
+	}
+	return tune.Candidate{}
 }

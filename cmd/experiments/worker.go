@@ -36,12 +36,17 @@ func workerMain(ctx context.Context) {
 	}
 }
 
+// readHeaderTimeout bounds how long every HTTP listener here waits for
+// a client's request headers, so a stalled or hostile connection cannot
+// pin a server goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
 // serveMain is `experiments -serve ADDR`: a long-lived HTTP worker
-// (POST /run, GET /healthz). SIGTERM drains it: in-flight shards abort
+// (POST /v1/run, GET /v1/healthz). SIGTERM drains it: in-flight shards abort
 // at the next chunk boundary and respond with their checkpointed
 // prefix (206), then the server shuts down.
 func serveMain(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: coordinator.Handler(ctx)}
+	srv := &http.Server{Addr: addr, Handler: coordinator.Handler(ctx), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "experiments: worker serving on %s\n", addr)
@@ -74,7 +79,7 @@ func daemonMain(ctx context.Context, registryURL, listenAddr, advertise string, 
 	if advertise == "" {
 		advertise = "http://" + ln.Addr().String()
 	}
-	srv := &http.Server{Handler: coordinator.Handler(ctx)}
+	srv := &http.Server{Handler: coordinator.Handler(ctx), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
 	go func() {
@@ -113,7 +118,7 @@ func registryFleet(ctx context.Context, addr string, fleetMin int) (*coordinator
 		reg.Close()
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := &http.Server{Handler: reg.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln) //nolint:errcheck // closed by shutdown below
 	shutdown := func() {
 		sctx, stop := context.WithTimeout(context.Background(), 5*time.Second)

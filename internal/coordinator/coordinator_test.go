@@ -104,6 +104,34 @@ func (l *eventLog) count(kind EventKind) int {
 	return n
 }
 
+// gatedFleet returns n in-process workers that hold every dispatch
+// until the log records an event of kind, so a scripted worker's
+// failure is observed before a healthy worker can resolve — or
+// speculatively duplicate — its shard. The returned Progress callback
+// feeds the log and opens the gate.
+func gatedFleet(n int, log *eventLog, kind EventKind) ([]Transport, func(Event)) {
+	open := make(chan struct{})
+	var once sync.Once
+	progress := func(e Event) {
+		log.add(e)
+		if e.Kind == kind {
+			once.Do(func() { close(open) })
+		}
+	}
+	ws := make([]Transport, n)
+	for i := range ws {
+		ws[i] = &fakeTransport{label: fmt.Sprintf("gated-%d", i), behave: func(_ int, ctx context.Context, job scenario.Job) (*report.Report, error) {
+			select {
+			case <-open:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return scenario.RunJob(ctx, job)
+		}}
+	}
+	return ws, progress
+}
+
 func TestFanOutFixedBitIdentical(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
@@ -148,9 +176,10 @@ func TestFanOutRetriesCrashedWorker(t *testing.T) {
 		return nil, errors.New("boom")
 	}}
 	log := &eventLog{}
+	healthy, progress := gatedFleet(2, log, EventWorkerDead)
 	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{crash}, InProcessFleet(2)...),
-		Progress: log.add,
+		Workers:  append([]Transport{crash}, healthy...),
+		Progress: progress,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +214,10 @@ func TestFanOutBanksPartialAndRequeuesRemainder(t *testing.T) {
 		return prefix, fmt.Errorf("%w: terminated", ErrPartial)
 	}
 	log := &eventLog{}
+	healthy, progress := gatedFleet(2, log, EventPartial)
 	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{mortal}, InProcessFleet(2)...),
-		Progress: log.add,
+		Workers:  append([]Transport{mortal}, healthy...),
+		Progress: progress,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -312,8 +312,8 @@ func (r *Registry) Handler() http.Handler {
 			return
 		}
 		var caps Capabilities
-		if err := json.NewDecoder(req.Body).Decode(&caps); err != nil {
-			http.Error(w, fmt.Sprintf("parsing registration: %v", err), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(&caps); err != nil {
+			http.Error(w, fmt.Sprintf("parsing registration: %v", err), bodyStatus(err))
 			return
 		}
 		resp, err := r.register(caps)
@@ -336,8 +336,8 @@ func (r *Registry) Handler() http.Handler {
 		var beat struct {
 			ID string `json:"id"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&beat); err != nil {
-			http.Error(w, fmt.Sprintf("parsing heartbeat: %v", err), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(&beat); err != nil {
+			http.Error(w, fmt.Sprintf("parsing heartbeat: %v", err), bodyStatus(err))
 			return
 		}
 		if !r.heartbeat(beat.ID) {

@@ -168,6 +168,26 @@ func TestRegistryHeartbeatUnknownLease(t *testing.T) {
 	}
 }
 
+// TestRegistryRejectsOversizedBodies: /v1/register and /v1/heartbeat
+// bodies past maxBodyBytes are refused with 413 and admit no worker.
+func TestRegistryRejectsOversizedBodies(t *testing.T) {
+	reg := NewRegistry(RegistryOptions{Dial: fakeDial})
+	defer reg.Close()
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	for path, format := range map[string]string{
+		"/v1/register":  `{"addr":"http://w1","name":"%s"}`,
+		"/v1/heartbeat": `{"id":"%s"}`,
+	} {
+		if status, _ := postOversized(t, srv.URL+path, format); status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %s: HTTP %d, want 413", path, status)
+		}
+	}
+	if m := reg.Members(); len(m) != 0 {
+		t.Fatalf("oversized registration admitted %d members", len(m))
+	}
+}
+
 // TestDaemonRetriesRegistration: a registry that is briefly down (500s)
 // does not kill the daemon — it backs off and registers when the
 // registry recovers.

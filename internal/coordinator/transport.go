@@ -292,13 +292,10 @@ func stderrTail(s string) string {
 // HTTP dispatches to a long-lived worker serving the Handler API
 // (`experiments -serve` / `-worker-daemon`): POST {URL}/v1/run with the
 // Job JSON. Status 200 carries the full report, 206 a checkpointed
-// prefix (ErrPartial). A worker predating the versioned API answers
-// /v1/run with 404; the transport then falls back to the legacy /run
-// path — once, remembering the downgrade for the connection's lifetime
-// — so a new coordinator drives an old worker unchanged. The Accept
+// prefix (ErrPartial); any other status fails the dispatch. The Accept
 // header asks the worker for the compact binary wire (gzip by
 // default); responses stream through the auto-detecting decoder, so a
-// legacy worker's JSON answer still parses. Connection-refused and
+// JSON answer parses too. Connection-refused and
 // connection-reset failures — a worker restarting, a briefly saturated
 // accept queue — are retried in place with a short exponential backoff
 // before they count as a worker failure.
@@ -314,10 +311,6 @@ type HTTP struct {
 	Encoding report.Encoding
 
 	lastWire WireStats
-	// legacy records a negotiated downgrade to the unversioned /run
-	// path (the worker 404'd /v1/run). The coordinator runs at most one
-	// dispatch per transport at a time, so no lock is needed.
-	legacy bool
 }
 
 // Name implements Transport.
@@ -370,16 +363,10 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 	}
 }
 
-// post is one dispatch attempt. It negotiates the API version: the
-// versioned /v1/run first, downgrading (sticky) to the legacy /run on
-// a 404/405 from a worker predating the versioned surface.
+// post is one dispatch attempt.
 func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*report.Report, error) {
-	path := "/v1/run"
-	if t.legacy {
-		path = "/run"
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		trimURL(t.URL)+path, bytes.NewReader(blob))
+		trimURL(t.URL)+"/v1/run", bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
@@ -414,15 +401,6 @@ func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*rep
 			return rep, fmt.Errorf("%w: %s", ErrPartial, t.Name())
 		}
 		return rep, nil
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		if !t.legacy {
-			// An old worker without /v1: fall back to the original path
-			// and keep using it — the job was never parsed, so nothing
-			// double-runs.
-			t.legacy = true
-			return t.post(ctx, blob, enc)
-		}
-		fallthrough
 	default:
 		body, _ := io.ReadAll(io.LimitReader(cr, 4096))
 		return nil, fmt.Errorf("coordinator: %s: HTTP %d: %s", t.Name(), resp.StatusCode, stderrTail(string(body)))

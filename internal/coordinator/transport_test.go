@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -253,64 +254,34 @@ func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 	}
 }
 
-// TestHTTPLegacyWorkerFallback is the forward half of version
-// negotiation: a NEW coordinator driving an OLD worker that only serves
-// the unversioned /run. The transport's first /v1/run attempt 404s, it
-// downgrades — once, stickily — and every dispatch lands on /run.
-func TestHTTPLegacyWorkerFallback(t *testing.T) {
-	var v1Hits, runHits int32
+// TestHTTPWorkerWithoutV1Fails: a worker that does not serve /v1/run
+// fails the dispatch with its HTTP status; the transport posts nowhere
+// else.
+func TestHTTPWorkerWithoutV1Fails(t *testing.T) {
+	var hits, v1Hits int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
+		atomic.AddInt32(&hits, 1)
+		if r.URL.Path == "/v1/run" {
 			atomic.AddInt32(&v1Hits, 1)
-			http.NotFound(w, r) // a worker binary predating the versioned API
-			return
 		}
-		if r.URL.Path != "/run" {
-			http.NotFound(w, r)
-			return
-		}
-		atomic.AddInt32(&runHits, 1)
-		var job scenario.Job
-		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rep, err := RunShard(r.Context(), job, 0)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		json.NewEncoder(w).Encode(rep) //nolint:errcheck // test server
+		http.NotFound(w, r)
 	}))
 	defer srv.Close()
-
-	sp := testSpec()
-	want := single(t, sp)
 	tr := &HTTP{URL: srv.URL}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: []Transport{tr}, NoSpeculation: true})
-	if err != nil {
-		t.Fatal(err)
+	_, err := tr.Run(context.Background(), scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 404") {
+		t.Fatalf("err = %v, want an HTTP 404 dispatch failure", err)
 	}
-	if norm(t, got) != norm(t, want) {
-		t.Fatal("legacy-worker fan-out differs from single-process report")
-	}
-	if !tr.legacy {
-		t.Fatal("transport never recorded the downgrade")
-	}
-	if hits := atomic.LoadInt32(&v1Hits); hits != 1 {
-		t.Fatalf("/v1/run probed %d times, want exactly 1 (the downgrade must stick)", hits)
-	}
-	if hits := atomic.LoadInt32(&runHits); hits < 2 {
-		t.Fatalf("/run served %d dispatches, want every shard after the downgrade", hits)
+	if n, v1 := atomic.LoadInt32(&hits), atomic.LoadInt32(&v1Hits); n != 1 || v1 != 1 {
+		t.Fatalf("worker saw %d requests (%d to /v1/run), want exactly one, to /v1/run", n, v1)
 	}
 }
 
-// TestLegacyPathsServeDeprecated is the backward half: an OLD
-// coordinator posting to the unversioned paths of a NEW worker still
-// gets its original contract — plus RFC 9745 Deprecation headers
-// pointing at the successor. The /v1 paths answer without them.
-func TestLegacyPathsServeDeprecated(t *testing.T) {
+// TestHandlerV1Contract pins the worker API's plain-client contract:
+// POST /v1/run with no Accept header answers the direct shard run as
+// JSON, with no Deprecation header; GET /v1/healthz answers the
+// capability envelope.
+func TestHandlerV1Contract(t *testing.T) {
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
 	job := scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)}
@@ -323,46 +294,30 @@ func TestLegacyPathsServeDeprecated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for path, deprecated := range map[string]bool{"/run": true, "/v1/run": false} {
-		resp, err := http.Post(srv.URL+path, mimeJSON, bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Deprecation"); (got == "true") != deprecated {
-			t.Fatalf("%s: Deprecation header = %q, want deprecated=%v", path, got, deprecated)
-		}
-		if deprecated && !strings.Contains(resp.Header.Get("Link"), `/v1/run>; rel="successor-version"`) {
-			t.Fatalf("%s: Link header %q names no successor", path, resp.Header.Get("Link"))
-		}
-		var rep report.Report
-		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if norm(t, &rep) != norm(t, want) {
-			t.Fatalf("%s: response differs from the direct shard run", path)
-		}
-	}
-
-	health, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Post(srv.URL+"/v1/run", mimeJSON, bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	health.Body.Close()
-	if health.Header.Get("Deprecation") != "true" {
-		t.Fatal("/healthz answered without a Deprecation header")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/run: HTTP %d", resp.StatusCode)
 	}
+	if got := resp.Header.Get("Deprecation"); got != "" {
+		t.Fatalf("/v1/run: Deprecation header = %q, want none", got)
+	}
+	var rep report.Report
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatalf("/v1/run: %v", err)
+	}
+	resp.Body.Close()
+	if norm(t, &rep) != norm(t, want) {
+		t.Fatal("/v1/run: response differs from the direct shard run")
+	}
+
 	v1health, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v1health.Body.Close()
-	if v1health.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/healthz is marked deprecated")
-	}
 	var caps Capabilities
 	if err := json.NewDecoder(v1health.Body).Decode(&caps); err != nil {
 		t.Fatal(err)
@@ -372,10 +327,42 @@ func TestLegacyPathsServeDeprecated(t *testing.T) {
 	}
 }
 
+// postOversized POSTs a JSON document one string field pushes past
+// maxBodyBytes (format holds one %s for that string) and returns the
+// status and body of the answer.
+func postOversized(t *testing.T, url, format string) (int, string) {
+	t.Helper()
+	body := fmt.Sprintf(format, strings.Repeat("a", maxBodyBytes))
+	resp, err := http.Post(url, mimeJSON, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(msg)
+}
+
+// TestHandlerRejectsOversizedJob: a /v1/run body past maxBodyBytes is
+// refused with 413 naming ErrBadJob, before any shard runs.
+func TestHandlerRejectsOversizedJob(t *testing.T) {
+	srv := httptest.NewServer(Handler(context.Background()))
+	defer srv.Close()
+	status, msg := postOversized(t, srv.URL+"/v1/run", `{"spec":{"kind":"single","name":"%s"}}`)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized job: HTTP %d, want 413", status)
+	}
+	if !strings.Contains(msg, ErrBadJob.Error()) {
+		t.Fatalf("oversized job answer %q does not name ErrBadJob", msg)
+	}
+}
+
 func TestHTTPHandlerRejectsBadJob(t *testing.T) {
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader("{nope"))
+	resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +370,7 @@ func TestHTTPHandlerRejectsBadJob(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	health, err := http.Get(srv.URL + "/healthz")
+	health, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -209,18 +210,30 @@ func negotiateWire(accept string) report.Encoding {
 	}
 }
 
+// maxBodyBytes bounds the request body of every handler that reads
+// outside bytes (/v1/run, /v1/register, /v1/heartbeat). A Job or a
+// Capabilities envelope is well under a kilobyte; the bound only stops
+// a runaway or hostile client from streaming an unbounded body into the
+// JSON decoder.
+const maxBodyBytes = 1 << 20
+
+// bodyStatus maps a request-body decode error to its HTTP status: 413
+// when the body overran maxBodyBytes, else 400.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // Handler serves the worker HTTP API of `experiments -serve` and
-// `-worker-daemon`, versioned since the elastic-fleet redesign:
+// `-worker-daemon`:
 //
 //	POST /v1/run      Job JSON in, Report JSON out (206 + prefix report
 //	                  when the worker is terminated mid-shard)
 //	GET  /v1/healthz  capability envelope: goarch, rng stream version,
 //	                  supported report codecs, warm-state build counter
-//
-// The pre-versioning paths /run and /healthz still serve their
-// original contract — an old coordinator keeps working — but answer
-// with a Deprecation header and a Link to the successor so operators
-// can find stragglers in their access logs.
 //
 // ctx is the worker process's lifetime (SIGTERM cancels it): in-flight
 // shards abort at the next chunk boundary and respond with their
@@ -237,20 +250,16 @@ func Handler(ctx context.Context) http.Handler {
 			TraceLabBuilds: scenario.TraceLabBuilds(),
 		})
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		deprecateHeaders(w, "/v1/healthz")
-		fmt.Fprintln(w, "ok")
-	})
-	runHandler := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, "POST a Job to "+r.URL.Path, http.StatusMethodNotAllowed)
+			http.Error(w, "POST a Job to /v1/run", http.StatusMethodNotAllowed)
 			return
 		}
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		var job scenario.Job
 		if err := dec.Decode(&job); err != nil {
-			http.Error(w, fmt.Sprintf("%v: %v", ErrBadJob, err), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("%v: %v", ErrBadJob, err), bodyStatus(err))
 			return
 		}
 		// The shard aborts when either the request is abandoned or the
@@ -273,18 +282,6 @@ func Handler(ctx context.Context) http.Handler {
 		}
 		w.Header().Set("Content-Type", encodingMime(enc))
 		writeReportWire(w, rep, enc) //nolint:errcheck // response already committed
-	}
-	mux.HandleFunc("/v1/run", runHandler)
-	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
-		deprecateHeaders(w, "/v1/run")
-		runHandler(w, r)
 	})
 	return mux
-}
-
-// deprecateHeaders marks a legacy-path response (RFC 9745 Deprecation
-// plus a successor-version Link) without changing its body contract.
-func deprecateHeaders(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
 }

@@ -194,8 +194,7 @@ var (
 // slot. Per slot the tile accumulates through markov.AddLogProbTile's
 // unrolled gather and reduces each run's argmax/tie statistics directly
 // into its tracking/detection series. Results are bit-identical to the
-// scalar PrefixDetectionsWith + metrics pipeline run per run, and to
-// ScoreBlockFlat.
+// scalar PrefixDetectionsWith + metrics pipeline run per run.
 //
 //chaffmec:hotpath
 func (d *MLDetector) ScoreBlock(blk *Block, user int) error {
@@ -285,64 +284,6 @@ func (d *MLDetector) scoreBlock(blk *Block, user int, filtered bool) error {
 					rd[t] = blk.tileDet[t*nr+i]
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// ScoreBlockFlat is the pre-tiling batch kernel, kept as the
-// differential and benchmark reference for ScoreBlock: one fused pass
-// per slot over the whole (B·U) plane with the generic filtered reduce.
-// Its results are bit-identical to ScoreBlock's; -bench-kernels reports
-// it as score/batch next to the tiled score/tiled leg.
-//
-//chaffmec:hotpath
-func (d *MLDetector) ScoreBlockFlat(blk *Block, user int) error {
-	B, U, T := blk.b, blk.u, blk.t
-	if B < 1 || T < 1 {
-		return errors.New("detect: empty block")
-	}
-	if U < 1 {
-		return errors.New("detect: no trajectories")
-	}
-	if user < 0 || user >= U {
-		return fmt.Errorf("detect: user index %d outside [0,%d)", user, U)
-	}
-	n := d.chain.NumStates()
-	for i, v := range blk.traj[:B*U*T] {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("detect: state %d at block index %d outside [0,%d)", v, i, n)
-		}
-	}
-	logPi, err := d.chain.LogSteadyState()
-	if err != nil {
-		return err
-	}
-	logp := d.chain.LogProbs()
-
-	// Initialize the running log-likelihoods from log π on the t=0 plane.
-	ll := blk.ll
-	for i, v := range blk.traj[:B*U] {
-		ll[i] = logPi[v]
-	}
-
-	stride := B * U
-	for t := 0; t < T; t++ {
-		cur := blk.traj[t*stride : (t+1)*stride]
-		if t > 0 {
-			// Branch-free accumulation across all runs in flight: one
-			// fused pass over the slot plane.
-			prev := blk.traj[(t-1)*stride : t*stride]
-			for i, c := range cur {
-				ll[i] += logp[int(prev[i])*n+int(c)]
-			}
-		}
-		for r := 0; r < B; r++ {
-			row := ll[r*U : (r+1)*U]
-			states := cur[r*U : (r+1)*U]
-			track, det := reduceSlot(row, states, nil, user)
-			blk.track[r*T+t] = track
-			blk.det[r*T+t] = det
 		}
 	}
 	return nil

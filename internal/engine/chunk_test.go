@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // chunkCases enumerates adversarial (runs, workers) combinations around
 // the divisor boundaries, the clamp points and the dispatch loop's
@@ -81,9 +84,11 @@ func TestChunkSizeShardRanges(t *testing.T) {
 	}
 }
 
-// TestDispatchChunk pins the calibrated-geometry override: honored when
-// every worker still gets a full chunk, clamped to runs/workers when
-// runs are scarce, bounded like chunkSize, and inert when unset.
+// TestDispatchChunk pins the block-width override: honored when every
+// worker still gets a full chunk, clamped to runs/workers when runs are
+// scarce, bounded like chunkSize, and inert when unset — and, through
+// Run, that a RunBlock config leaving BlockSize unset dispatches at
+// BlockWidth under the same clamps.
 func TestDispatchChunk(t *testing.T) {
 	cases := []struct {
 		runs, workers, block, want int
@@ -112,4 +117,43 @@ func TestDispatchChunk(t *testing.T) {
 			}
 		}
 	}
+
+	for _, tc := range []struct{ runs, workers, block, want int }{
+		{runs: 1000, workers: 2, want: BlockWidth},      // unset → BlockWidth
+		{runs: 1000, workers: 2, block: 128, want: 128}, // set → honored
+		{runs: 100, workers: 4, want: 25},               // scarce → runs/workers
+		{runs: 3, workers: 8, want: 1},                  // fewer runs than workers → 1
+	} {
+		widths := blockWidths(t, tc.runs, tc.workers, tc.block)
+		for run, w := range widths {
+			if w > tc.want || (run == 0 && w != tc.want) {
+				t.Fatalf("runs=%d workers=%d BlockSize=%d: run %d dispatched in a block of %d, want %d",
+					tc.runs, tc.workers, tc.block, run, w, tc.want)
+			}
+		}
+	}
+}
+
+// blockWidths runs a RunBlock experiment and returns, per run in run
+// order, the width of the block that run was dispatched in.
+func blockWidths(t *testing.T, runs, workers, blockSize int) []int {
+	t.Helper()
+	var widths []int
+	err := Run(nil, Options{Runs: runs, Seed: 1, Workers: workers}, Config[struct{}, int]{
+		RunBlock: func(_ struct{}, _ int, _ []*rand.Rand, out []int) error {
+			for i := range out {
+				out[i] = len(out)
+			}
+			return nil
+		},
+		BlockSize: blockSize,
+		Accumulate: func(_ int, w int) error {
+			widths = append(widths, w)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return widths
 }

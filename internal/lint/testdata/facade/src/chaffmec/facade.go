@@ -64,7 +64,7 @@ type OldConfig = Config
 type SloppyOldConfig = Config // want `exported type SloppyOldConfig mentions deprecation without a well-formed`
 
 // HeaderTalker is current API; its doc mentioning the HTTP
-// Deprecation response header the legacy paths answer with must not
+// Deprecation response header a server may answer with must not
 // fire the marker rule (the trigger is the whole word, not the
 // header name).
 func HeaderTalker() *Blessed { return NewBlessed() }

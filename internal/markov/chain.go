@@ -159,12 +159,6 @@ func (c *Chain) Row(from int) []float64 {
 	return out
 }
 
-// LogProbs returns the flat row-major log-transition matrix (n*n entries,
-// index from*n+to, impossible transitions -Inf) backing LogProb. It is
-// the chain's shared storage and must not be modified; batch scoring
-// kernels read it directly to avoid a method call per transition.
-func (c *Chain) LogProbs() []float64 { return c.logp }
-
 // Successors returns the states reachable from `from` in one step with
 // positive probability. The returned slice must not be modified.
 func (c *Chain) Successors(from int) []int { return c.succ[from] }

@@ -21,7 +21,6 @@ import (
 	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
-	"chaffmec/internal/tune"
 )
 
 // Config describes one multi-user scenario.
@@ -152,14 +151,12 @@ func Run(ctx context.Context, cfg Config, opts engine.Options) (*Result, error) 
 		},
 	}
 	if scorer, ok := det.(detect.BlockScorer); ok {
-		// Batch path: whole dispatch chunks sampled and scored through the
-		// SoA kernels; bit-identical to the scalar runOnce path. The chunk
-		// width comes from the block-geometry calibration for this kernel
-		// shape (cached per host; chunking never changes results).
+		// Batch path: whole dispatch chunks (engine.BlockWidth runs)
+		// sampled and scored through the SoA kernels; bit-identical to the
+		// scalar runOnce path.
 		ecfg.RunBlock = func(w *muWorker, start int, rngs []*rand.Rand, out [][]float64) error {
 			return runBlock(&cfg, scorer, w, rngs, out)
 		}
-		ecfg.BlockSize = tune.BlockSize(cfg.TargetChain, numObserved(&cfg), cfg.Horizon)
 	} else {
 		ecfg.Run = func(w *muWorker, run int, rng *rand.Rand) ([]float64, error) {
 			return runOnce(&cfg, det, w, rng)

@@ -17,7 +17,6 @@ import (
 	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
 	"chaffmec/internal/store"
-	"chaffmec/internal/tune"
 )
 
 // traceLabCache shares built TraceLabs across the rounds and in-process
@@ -68,15 +67,7 @@ func sharedTraceLab(cfg figures.TraceConfig) (*figures.TraceLab, error) {
 		}
 	}
 	c.Unlock()
-	e.once.Do(func() {
-		var built bool
-		e.lab, built, e.err = loadOrBuildTraceLab(cfg)
-		if built {
-			c.Lock()
-			c.builds++
-			c.Unlock()
-		}
-	})
+	e.once.Do(func() { e.lab, e.err = loadOrBuildTraceLab(cfg) })
 	if e.err != nil {
 		// Do not cache failures: drop the entry so a later call retries.
 		c.Lock()
@@ -110,25 +101,31 @@ func traceLabStoreKey(cfg figures.TraceConfig) string {
 
 // loadOrBuildTraceLab consults the artifact store before paying for a
 // build: a warm store turns a fresh process's first trace Job from a
-// full generate/fit pipeline into one decode. Built reports whether the
-// pipeline actually ran (store hits don't count as builds). Store
-// failures never fail the job — a blob that won't decode is evicted and
-// rebuilt, and persisting the fresh build is best-effort.
-func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built bool, err error) {
+// full generate/fit pipeline into one decode. Store failures never fail
+// the job — a blob that won't decode is evicted and rebuilt, and
+// persisting the fresh build is best-effort.
+func loadOrBuildTraceLab(cfg figures.TraceConfig) (*figures.TraceLab, error) {
 	st := store.Default()
 	var key string
 	if st != nil {
 		key = traceLabStoreKey(cfg)
 		if blob, ok, err := st.Get(storeKindTraceLab, key); err == nil && ok {
 			if lab, err := figures.DecodeTraceLab(bytes.NewReader(blob)); err == nil {
-				return lab, false, nil
+				return lab, nil
 			}
 			st.Delete(storeKindTraceLab, key)
 		}
 	}
-	lab, err = buildTraceLab(cfg)
+	// Count the build as it starts: a shard cancelled mid-build (a
+	// speculative duplicate) leaves the build running, and a probe taken
+	// then must already see it.
+	c := &traceLabCache
+	c.Lock()
+	c.builds++
+	c.Unlock()
+	lab, err := buildTraceLab(cfg)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if st != nil {
 		var buf bytes.Buffer
@@ -136,7 +133,7 @@ func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built 
 			st.Put(storeKindTraceLab, key, buf.Bytes())
 		}
 	}
-	return lab, true, nil
+	return lab, nil
 }
 
 // ResetTraceLabCache empties the shared lab cache. Tests and benches
@@ -149,9 +146,9 @@ func ResetTraceLabCache() {
 	c.Unlock()
 }
 
-// TraceLabBuilds counts the labs built from scratch since process start
-// — store hits and cache hits don't move it, so a warm-store run is
-// provably build-free (the wire bench's assertion).
+// TraceLabBuilds counts the lab builds from scratch started since
+// process start — store hits and cache hits don't move it, so a
+// warm-store run is provably build-free (the wire bench's assertion).
 func TraceLabBuilds() int {
 	c := &traceLabCache
 	c.Lock()
@@ -292,15 +289,13 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	}
 	if scorer, ok := det.(detect.BlockScorer); ok {
 		// Batch path: the fixed fleet plus each run's chaff stream are
-		// packed into the worker's scoring block and swept once per chunk.
-		// Only chaff generation draws from the run streams, exactly as the
-		// scalar path does, so results are bit-identical to it. The chunk
-		// width comes from the block-geometry calibration for this kernel
-		// shape (cached per host; chunking never changes results).
+		// packed into the worker's scoring block and swept once per chunk
+		// (engine.BlockWidth runs). Only chaff generation draws from the
+		// run streams, exactly as the scalar path does, so results are
+		// bit-identical to it.
 		cfg.RunBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
 			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
 		}
-		cfg.BlockSize = tune.BlockSize(lab.Chain, len(lab.Trajectories)+numChaffs, lab.Horizon)
 	} else {
 		cfg.Run = func(w *traceWorker, run int, rng *rand.Rand) ([]float64, error) {
 			w.trs = append(w.trs[:0], lab.Trajectories...)

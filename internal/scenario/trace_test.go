@@ -33,6 +33,33 @@ func labCfg(seed int64) figures.TraceConfig {
 	return figures.TraceConfig{Seed: seed, Nodes: 10, Minutes: 5}
 }
 
+// TestTraceLabBuildsCountsInFlightBuild: a build counts from the moment
+// it starts, so a probe taken while a cancelled shard's build is still
+// running (the worker's /v1/healthz counter) already sees it.
+func TestTraceLabBuildsCountsInFlightBuild(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	stubLabBuilder(t, func(figures.TraceConfig) (*figures.TraceLab, error) {
+		close(started)
+		<-release
+		return &figures.TraceLab{}, nil
+	})
+	before := TraceLabBuilds()
+	done := make(chan error)
+	go func() {
+		_, err := sharedTraceLab(labCfg(1))
+		done <- err
+	}()
+	<-started
+	got := TraceLabBuilds() - before
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Fatalf("in-flight build counted %d times, want 1", got)
+	}
+}
+
 func TestSharedTraceLabCachesAndEvictsLRU(t *testing.T) {
 	calls := stubLabBuilder(t, func(cfg figures.TraceConfig) (*figures.TraceLab, error) {
 		return &figures.TraceLab{Horizon: int(cfg.Seed)}, nil

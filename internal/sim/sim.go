@@ -21,7 +21,6 @@ import (
 	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
-	"chaffmec/internal/tune"
 )
 
 // DetectorKind selects the eavesdropper model of a scenario.
@@ -170,14 +169,12 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 		},
 	}
 	if scorer, ok := det.(detect.BlockScorer); ok {
-		// Batch path: whole dispatch chunks sampled and scored through the
-		// SoA kernels; bit-identical to the scalar path below. The chunk
-		// width comes from the block-geometry calibration for this kernel
-		// shape (cached per host; chunking never changes results).
+		// Batch path: whole dispatch chunks (engine.BlockWidth runs)
+		// sampled and scored through the SoA kernels; bit-identical to the
+		// scalar path below.
 		cfg.RunBlock = func(w *simWorker, start int, rngs []*rand.Rand, out []runResult) error {
 			return sc.runBlock(w, scorer, rngs, out)
 		}
-		cfg.BlockSize = tune.BlockSize(sc.Chain, 1+sc.NumChaffs, T)
 	} else {
 		cfg.Run = func(w *simWorker, run int, rng *rand.Rand) (runResult, error) {
 			return sc.runOnce(w, det, rng)
