@@ -426,7 +426,7 @@ const (
 	// coverage spines, raw little-endian float64 series blocks.
 	EncodingBinary = report.EncodingBinary
 	// EncodingBinaryGzip is the binary codec behind a gzip frame — the
-	// leanest wire format, and what the fleet transports negotiate.
+	// leanest format, and the only one the fleet's workers answer in.
 	EncodingBinaryGzip = report.EncodingBinaryGzip
 )
 
@@ -446,8 +446,8 @@ type (
 	// FanOutEvent is one coordinator progress observation (dispatches,
 	// results, retries, dead workers, banked shards, completed rounds).
 	FanOutEvent = coordinator.Event
-	// WireStats counts one dispatch's bytes on the wire and the encoding
-	// they traveled in (FanOutEvent.Wire on result/partial events).
+	// WireStats counts one dispatch's bytes on the wire
+	// (FanOutEvent.Wire on result/partial events).
 	WireStats = coordinator.WireStats
 	// FanOutEventKind classifies FanOutEvents.
 	FanOutEventKind = coordinator.EventKind
@@ -496,7 +496,7 @@ type (
 	WorkerRegistryOptions = coordinator.RegistryOptions
 	// WorkerCapabilities is the capability envelope a persistent worker
 	// announces on registration and echoes on /v1/healthz: address,
-	// capacity weight, GOARCH, rng stream version, report codecs.
+	// capacity weight, GOARCH, rng stream version, warm-state counter.
 	WorkerCapabilities = coordinator.Capabilities
 	// WorkerDaemonOptions configures RunWorkerDaemon's registration loop.
 	WorkerDaemonOptions = coordinator.DaemonOptions

@@ -64,8 +64,8 @@ func benchDistributed(ctx context.Context, path string, runs, horizon int, seed 
 
 	for _, n := range []int{1, 2, 4} {
 		begin := time.Now()
-		_, err := coordinator.Run(ctx, scenario.Job{Spec: spec},
-			coordinator.Options{Workers: coordinator.SubprocessFleet(n)})
+		_, err := coordinator.RunFleet(ctx, scenario.Job{Spec: spec},
+			coordinator.StaticOf(coordinator.SubprocessFleet(n)...), coordinator.Options{})
 		if err != nil {
 			return fmt.Errorf("bench-distributed %d workers: %w", n, err)
 		}

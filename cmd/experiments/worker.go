@@ -16,7 +16,8 @@ import (
 )
 
 // workerMain is `experiments -worker`: one Job JSON on stdin, its
-// Report JSON on stdout (the Subprocess transport's wire protocol).
+// Report on stdout as a count-1 binary+gzip CMR1 envelope (the
+// Subprocess transport's wire protocol).
 // Malformed input exits ExitBadJob with the named error on stderr; a
 // SIGTERM/SIGINT mid-shard writes the resumable prefix checkpoint and
 // exits ExitPartial. Never returns.
@@ -231,30 +232,22 @@ type wireTally struct {
 	sent, received int64
 	results        int
 	banked         int
-	encoding       report.Encoding
 }
 
 func (t *wireTally) add(w coordinator.WireStats) {
 	t.sent += w.Sent
 	t.received += w.Received
 	t.results++
-	if w.Encoding != "" {
-		t.encoding = w.Encoding
-	}
 }
 
 // summary renders the job's wire line, e.g.
-// "wire: 12 results over binary+gzip, 18.3 KB sent, 9.1 KB received, 4 shards banked".
+// "wire: 12 results, 18.3 KB sent, 9.1 KB received, 4 shards banked".
 func (t *wireTally) summary(name string) {
 	if t.results == 0 && t.banked == 0 {
 		return
 	}
-	enc := t.encoding
-	if enc == "" {
-		enc = "in-process"
-	}
-	fmt.Fprintf(os.Stderr, "%-30s wire: %d results over %s, %.1f KB sent, %.1f KB received, %d shards banked\n",
-		name, t.results, enc, float64(t.sent)/1024, float64(t.received)/1024, t.banked)
+	fmt.Fprintf(os.Stderr, "%-30s wire: %d results, %.1f KB sent, %.1f KB received, %d shards banked\n",
+		name, t.results, float64(t.sent)/1024, float64(t.received)/1024, t.banked)
 }
 
 // runScenariosDistributed executes a JSON scenario config like

@@ -49,10 +49,6 @@ import (
 
 // Options tunes one fan-out.
 type Options struct {
-	// Workers is a frozen fleet, kept for Run's historical signature:
-	// Run wraps it in StaticOf. RunFleet callers pass a Fleet directly
-	// and leave this nil.
-	Workers []Transport
 	// ShardsPerWorker oversplits each round into this many shards per
 	// alive worker (default 2), so a retry or straggler re-dispatch
 	// moves a fraction of the round, not all of it.
@@ -179,21 +175,6 @@ type result struct {
 	s   *shardState
 	rep *report.Report
 	err error
-}
-
-// Run fans one whole Job out over the frozen fleet in opts.Workers and
-// returns the merged Report — bit-identical (up to summed ElapsedMS) to
-// the single-process run of the same Job, fixed or adaptive. It is
-// RunFleet over a StaticOf fleet, kept for the historical signature.
-// Like the scenario layer's drivers it returns the accumulated partial
-// of the COMPLETED rounds alongside any error (cancellation included):
-// a well-formed checkpoint scenario.ResumeJob — or Resume — continues
-// from.
-func Run(ctx context.Context, job scenario.Job, opts Options) (*report.Report, error) {
-	if len(opts.Workers) == 0 {
-		return nil, errors.New("coordinator: no workers")
-	}
-	return RunFleet(ctx, job, StaticOf(opts.Workers...), opts)
 }
 
 // RunFleet fans one whole Job out over an elastic fleet: membership is

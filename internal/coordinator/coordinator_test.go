@@ -136,8 +136,7 @@ func TestFanOutFixedBitIdentical(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
 	for _, workers := range []int{1, 2, 3} {
-		got, err := Run(context.Background(), scenario.Job{Spec: sp},
-			Options{Workers: InProcessFleet(workers)})
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(InProcessFleet(workers)...), Options{})
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -151,8 +150,8 @@ func TestFanOutAdaptiveBitIdentical(t *testing.T) {
 	sp := adaptiveSpec()
 	want := single(t, sp)
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: InProcessFleet(3), Progress: log.add})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(InProcessFleet(3)...),
+		Options{Progress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +176,7 @@ func TestFanOutRetriesCrashedWorker(t *testing.T) {
 	}}
 	log := &eventLog{}
 	healthy, progress := gatedFleet(2, log, EventWorkerDead)
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{crash}, healthy...),
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(append([]Transport{crash}, healthy...)...), Options{
 		Progress: progress,
 	})
 	if err != nil {
@@ -215,8 +213,7 @@ func TestFanOutBanksPartialAndRequeuesRemainder(t *testing.T) {
 	}
 	log := &eventLog{}
 	healthy, progress := gatedFleet(2, log, EventPartial)
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{mortal}, healthy...),
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(append([]Transport{mortal}, healthy...)...), Options{
 		Progress: progress,
 	})
 	if err != nil {
@@ -245,8 +242,7 @@ func TestFanOutSpeculatesAroundStraggler(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{slow}, InProcessFleet(2)...),
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(append([]Transport{slow}, InProcessFleet(2)...)...), Options{
 		Progress: log.add,
 	})
 	if err != nil {
@@ -267,9 +263,7 @@ func TestFanOutShardExhaustsFleet(t *testing.T) {
 			return nil, errors.New("always fails")
 		}}
 	}
-	_, err := Run(context.Background(), scenario.Job{Spec: testSpec()}, Options{
-		Workers: []Transport{bad("a"), bad("b")},
-	})
+	_, err := RunFleet(context.Background(), scenario.Job{Spec: testSpec()}, StaticOf(bad("a"), bad("b")), Options{})
 	if err == nil {
 		t.Fatal("all-failing fleet succeeded")
 	}
@@ -279,13 +273,13 @@ func TestFanOutShardExhaustsFleet(t *testing.T) {
 }
 
 func TestFanOutRejectsShardedJob(t *testing.T) {
-	_, err := Run(context.Background(),
+	_, err := RunFleet(context.Background(),
 		scenario.Job{Spec: testSpec(), Shard: engine.Shard{Index: 0, Count: 2}},
-		Options{Workers: InProcessFleet(1)})
+		StaticOf(InProcessFleet(1)...), Options{})
 	if err == nil || !strings.Contains(err.Error(), "whole") {
 		t.Fatalf("sharded job accepted: %v", err)
 	}
-	if _, err := Run(context.Background(), scenario.Job{Spec: testSpec()}, Options{}); err == nil {
+	if _, err := RunFleet(context.Background(), scenario.Job{Spec: testSpec()}, StaticOf(), Options{}); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
 }
@@ -293,7 +287,7 @@ func TestFanOutRejectsShardedJob(t *testing.T) {
 func TestFanOutCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, scenario.Job{Spec: testSpec()}, Options{Workers: InProcessFleet(2)})
+	_, err := RunFleet(ctx, scenario.Job{Spec: testSpec()}, StaticOf(InProcessFleet(2)...), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -310,8 +304,7 @@ func TestFanOutDispatchTimeoutRescuesHungWorker(t *testing.T) {
 		return nil, ctx.Err()
 	}}
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:         append([]Transport{hung}, InProcessFleet(2)...),
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(append([]Transport{hung}, InProcessFleet(2)...)...), Options{
 		NoSpeculation:   true,
 		DispatchTimeout: 100 * time.Millisecond,
 		Progress:        log.add,
@@ -326,8 +319,7 @@ func TestFanOutDispatchTimeoutRescuesHungWorker(t *testing.T) {
 		t.Fatal("hung worker produced no failure events")
 	}
 	// A fleet that is ALL hung must error out instead of deadlocking.
-	_, err = Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:         []Transport{hung},
+	_, err = RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(hung), Options{
 		NoSpeculation:   true,
 		DispatchTimeout: 50 * time.Millisecond,
 	})

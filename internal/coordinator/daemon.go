@@ -63,7 +63,6 @@ func RunDaemon(ctx context.Context, opts DaemonOptions) error {
 		Weight: opts.Weight,
 		GOARCH: runtime.GOARCH,
 		Stream: rng.StreamVersion,
-		Codecs: localCodecs(),
 	}
 	backoff := daemonBackoff
 	for {

@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -59,40 +58,21 @@ const (
 	ExitPartial = 3
 )
 
-// Report wire content types. The worker Handler negotiates them from
-// the request's Accept header; absent (an older coordinator), the
-// response stays plain JSON, and since every encoding is
-// self-describing a decoder never needs the header to parse — the
-// types exist for proxies, logs and humans.
+// Content types on the HTTP wire: jobs (and the JSON control
+// envelopes) go out as mimeJSON, reports come back as mimeReports — a
+// count-1 CMR1 envelope behind a gzip frame, the only report format a
+// worker answers in.
 const (
-	mimeJSON       = "application/json"
-	mimeBinary     = "application/x-chaffmec-reports"
-	mimeBinaryGzip = "application/x-chaffmec-reports+gzip"
+	mimeJSON    = "application/json"
+	mimeReports = "application/x-chaffmec-reports+gzip"
 )
 
-// encodingMime maps a report encoding to its wire content type.
-func encodingMime(enc report.Encoding) string {
-	switch enc {
-	case report.EncodingBinary:
-		return mimeBinary
-	case report.EncodingBinaryGzip:
-		return mimeBinaryGzip
-	default:
-		return mimeJSON
-	}
-}
-
-// WireStats is one dispatch's wire cost: encoded bytes each way and the
-// report encoding that actually came back (a legacy worker answers a
-// binary-accepting coordinator in JSON; the self-describing formats
-// make that harmless).
+// WireStats is one dispatch's wire cost: encoded bytes each way.
 type WireStats struct {
 	// Sent counts job bytes written to the worker, summed over retry
 	// attempts; Received counts report bytes read back.
 	Sent     int64
 	Received int64
-	// Encoding is the report encoding detected on the response.
-	Encoding report.Encoding
 }
 
 // WireReporter is implemented by transports that can report the wire
@@ -115,38 +95,18 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// decodeReportStream reads exactly one report from a worker response in
-// any wire format, streaming (no whole-envelope buffering): the legacy
-// single-object JSON the original worker contract used, or a count-1
-// envelope in any format report.ReadReports detects. It returns the
-// detected encoding for wire accounting.
-func decodeReportStream(r io.Reader) (*report.Report, report.Encoding, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(1)
+// decodeReportStream reads exactly one report from a worker response —
+// the count-1 envelope writeReport produces — streaming (no
+// whole-envelope buffering).
+func decodeReportStream(r io.Reader) (*report.Report, error) {
+	reps, err := report.ReadReports(r)
 	if err != nil {
-		return nil, report.EncodingJSON, fmt.Errorf("coordinator: parsing worker report: %w", err)
-	}
-	enc := report.EncodingJSON
-	switch head[0] {
-	case '{': // legacy single-object JSON
-		var rep report.Report
-		if err := json.NewDecoder(br).Decode(&rep); err != nil {
-			return nil, enc, fmt.Errorf("coordinator: parsing worker report: %w", err)
-		}
-		return &rep, enc, nil
-	case 0x1f:
-		enc = report.EncodingBinaryGzip
-	case 'C':
-		enc = report.EncodingBinary
-	}
-	reps, err := report.ReadReports(br)
-	if err != nil {
-		return nil, enc, fmt.Errorf("coordinator: parsing worker report: %w", err)
+		return nil, fmt.Errorf("coordinator: parsing worker report: %w", err)
 	}
 	if len(reps) != 1 {
-		return nil, enc, fmt.Errorf("coordinator: worker returned %d reports, want 1", len(reps))
+		return nil, fmt.Errorf("coordinator: worker returned %d reports, want 1", len(reps))
 	}
-	return reps[0], enc, nil
+	return reps[0], nil
 }
 
 // InProcess executes jobs on this process's scenario registry — the
@@ -182,10 +142,7 @@ func InProcessFleet(n int) []Transport {
 // written to the child's stdin as JSON and the Report read back from
 // its stdout (see RunWorker for the contract). Exit code ExitPartial
 // yields the checkpointed prefix report alongside ErrPartial. The
-// report encoding is negotiated through the child's environment
-// (EnvWire) and decoded as a stream off the stdout pipe; a legacy
-// worker binary ignores the variable and answers in JSON, which the
-// auto-detecting decoder handles the same way.
+// report is decoded as a stream off the stdout pipe.
 type Subprocess struct {
 	// Label names the worker (default "subprocess").
 	Label string
@@ -195,9 +152,6 @@ type Subprocess struct {
 	// Env entries are appended to the child's environment. CI's fault
 	// injection (EnvCrash) rides here.
 	Env []string
-	// Encoding is the report encoding requested from the worker
-	// (default binary+gzip).
-	Encoding report.Encoding
 
 	lastWire WireStats
 }
@@ -227,15 +181,11 @@ func (t *Subprocess) Run(ctx context.Context, job scenario.Job) (*report.Report,
 	if err != nil {
 		return nil, err
 	}
-	enc := t.Encoding
-	if enc == "" {
-		enc = report.EncodingBinaryGzip
-	}
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
 	cmd.Stdin = bytes.NewReader(blob)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
-	cmd.Env = append(append(os.Environ(), EnvWire+"="+string(enc)), t.Env...)
+	cmd.Env = append(os.Environ(), t.Env...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: %s: %w", t.Name(), err)
@@ -245,10 +195,10 @@ func (t *Subprocess) Run(ctx context.Context, job scenario.Job) (*report.Report,
 	}
 	// Decode straight off the pipe — the report is never buffered whole.
 	cr := &countingReader{r: stdout}
-	rep, gotEnc, derr := decodeReportStream(cr)
+	rep, derr := decodeReportStream(cr)
 	io.Copy(io.Discard, cr) //nolint:errcheck // drain so the child never blocks on a full pipe
 	runErr := cmd.Wait()
-	t.lastWire = WireStats{Sent: int64(len(blob)), Received: cr.n, Encoding: gotEnc}
+	t.lastWire = WireStats{Sent: int64(len(blob)), Received: cr.n}
 	if runErr == nil {
 		if derr != nil {
 			return nil, fmt.Errorf("coordinator: %s: %v", t.Name(), derr)
@@ -292,10 +242,8 @@ func stderrTail(s string) string {
 // HTTP dispatches to a long-lived worker serving the Handler API
 // (`experiments -serve` / `-worker-daemon`): POST {URL}/v1/run with the
 // Job JSON. Status 200 carries the full report, 206 a checkpointed
-// prefix (ErrPartial); any other status fails the dispatch. The Accept
-// header asks the worker for the compact binary wire (gzip by
-// default); responses stream through the auto-detecting decoder, so a
-// JSON answer parses too. Connection-refused and
+// prefix (ErrPartial); any other status fails the dispatch. Reports
+// stream through decodeReportStream. Connection-refused and
 // connection-reset failures — a worker restarting, a briefly saturated
 // accept queue — are retried in place with a short exponential backoff
 // before they count as a worker failure.
@@ -306,9 +254,6 @@ type HTTP struct {
 	URL string
 	// Client overrides http.DefaultClient.
 	Client *http.Client
-	// Encoding is the report encoding requested via Accept (default
-	// binary+gzip).
-	Encoding report.Encoding
 
 	lastWire WireStats
 }
@@ -343,14 +288,10 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 	if err != nil {
 		return nil, err
 	}
-	enc := t.Encoding
-	if enc == "" {
-		enc = report.EncodingBinaryGzip
-	}
 	t.lastWire = WireStats{}
 	backoff := httpBackoff
 	for attempt := 0; ; attempt++ {
-		rep, err := t.post(ctx, blob, enc)
+		rep, err := t.post(ctx, blob)
 		if err == nil || attempt >= httpRetries || !transientNetErr(err) || ctx.Err() != nil {
 			return rep, err
 		}
@@ -364,14 +305,13 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 }
 
 // post is one dispatch attempt.
-func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*report.Report, error) {
+func (t *HTTP) post(ctx context.Context, blob []byte) (*report.Report, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		trimURL(t.URL)+"/v1/run", bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", mimeJSON)
-	req.Header.Set("Accept", encodingMime(enc)+", "+mimeJSON+";q=0.5")
 	client := t.Client
 	if client == nil {
 		client = http.DefaultClient
@@ -392,8 +332,7 @@ func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*rep
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusPartialContent:
-		rep, gotEnc, derr := decodeReportStream(cr)
-		t.lastWire.Encoding = gotEnc
+		rep, derr := decodeReportStream(cr)
 		if derr != nil {
 			return nil, derr
 		}

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,14 +71,16 @@ func testWorkerFleet(n int, worker0Env ...string) []Transport {
 func TestSubprocessFanOutBitIdentical(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: testWorkerFleet(3)})
+	log := &eventLog{}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(testWorkerFleet(3)...),
+		Options{Progress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm(t, got) != norm(t, want) {
 		t.Fatal("subprocess fan-out differs from single-process report")
 	}
+	checkWireEvents(t, log)
 }
 
 func TestSubprocessCrashInjection(t *testing.T) {
@@ -85,8 +88,7 @@ func TestSubprocessCrashInjection(t *testing.T) {
 	want := single(t, sp)
 	for _, mode := range []string{"exit", "partial"} {
 		log := &eventLog{}
-		got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-			Workers:  testWorkerFleet(3, EnvCrash+"="+mode),
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(testWorkerFleet(3, EnvCrash+"="+mode)...), Options{
 			Progress: log.add,
 		})
 		if err != nil {
@@ -129,6 +131,7 @@ func TestRunWorkerNamedErrors(t *testing.T) {
 		"missing kind":  `{"spec":{}}`,
 		"unknown kind":  `{"spec":{"kind":"no-such-kind"}}`,
 		"invalid shard": `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
+		"unknown strat": `{"spec":{"kind":"single","strategy":"NOPE"}}`,
 		"bad precision": `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
 	} {
 		var out bytes.Buffer
@@ -156,13 +159,13 @@ func TestRunWorkerMatchesDirectRun(t *testing.T) {
 	if err := RunWorker(context.Background(), bytes.NewReader(blob), &out); err != nil {
 		t.Fatal(err)
 	}
-	var got report.Report
-	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+	got, err := decodeReportStream(&out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The worker executes the shard in chunks; position-aware reducers
 	// make the chunked result bit-identical to the one-shot shard.
-	if norm(t, &got) != norm(t, want) {
+	if norm(t, got) != norm(t, want) {
 		t.Fatal("worker chunked shard differs from direct shard run")
 	}
 }
@@ -179,8 +182,8 @@ func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("err = %v, want ErrPartial", err)
 	}
-	var partial report.Report
-	if err := json.Unmarshal(out.Bytes(), &partial); err != nil {
+	partial, err := decodeReportStream(&out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if partial.RunStart != 0 || partial.RunCount <= 0 || partial.RunCount >= 60 {
@@ -202,7 +205,7 @@ func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm(t, &partial) != norm(t, want) {
+	if norm(t, partial) != norm(t, want) {
 		t.Fatal("resumed partial differs from uninterrupted shard")
 	}
 }
@@ -214,14 +217,16 @@ func TestHTTPFanOutBitIdentical(t *testing.T) {
 	defer srv.Close()
 	srv2 := httptest.NewServer(Handler(context.Background()))
 	defer srv2.Close()
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: HTTPFleet(srv.URL, srv2.URL)})
+	log := &eventLog{}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(HTTPFleet(srv.URL, srv2.URL)...),
+		Options{Progress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm(t, got) != norm(t, want) {
 		t.Fatal("HTTP fan-out differs from single-process report")
 	}
+	checkWireEvents(t, log)
 }
 
 func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
@@ -239,8 +244,7 @@ func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // connection refused from the first dispatch
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  HTTPFleet(srv.URL, dead.URL),
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(HTTPFleet(srv.URL, dead.URL)...), Options{
 		Progress: log.add,
 	})
 	if err != nil {
@@ -277,10 +281,10 @@ func TestHTTPWorkerWithoutV1Fails(t *testing.T) {
 	}
 }
 
-// TestHandlerV1Contract pins the worker API's plain-client contract:
-// POST /v1/run with no Accept header answers the direct shard run as
-// JSON, with no Deprecation header; GET /v1/healthz answers the
-// capability envelope.
+// TestHandlerV1Contract pins the worker API's one wire: POST /v1/run
+// answers the direct shard run as a count-1 CMR1 envelope behind a gzip
+// frame, labeled mimeReports, with no Deprecation header; GET
+// /v1/healthz answers the capability envelope.
 func TestHandlerV1Contract(t *testing.T) {
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
@@ -298,18 +302,39 @@ func TestHandlerV1Contract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/run: HTTP %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Content-Type"); got != mimeReports {
+		t.Fatalf("/v1/run: Content-Type = %q, want %q", got, mimeReports)
 	}
 	if got := resp.Header.Get("Deprecation"); got != "" {
 		t.Fatalf("/v1/run: Deprecation header = %q, want none", got)
 	}
-	var rep report.Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatalf("/v1/run: %v", err)
+	gz, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/v1/run: body is not gzip-framed: %v", err)
 	}
-	resp.Body.Close()
-	if norm(t, &rep) != norm(t, want) {
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("CMR1")) {
+		t.Fatalf("/v1/run: gzip frame holds %q..., want a CMR1 envelope", raw[:min(len(raw), 8)])
+	}
+	reps, err := report.DecodeReports(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 1 {
+		t.Fatalf("/v1/run: envelope holds %d reports, want 1", len(reps))
+	}
+	if norm(t, reps[0]) != norm(t, want) {
 		t.Fatal("/v1/run: response differs from the direct shard run")
 	}
 
@@ -322,8 +347,8 @@ func TestHandlerV1Contract(t *testing.T) {
 	if err := json.NewDecoder(v1health.Body).Decode(&caps); err != nil {
 		t.Fatal(err)
 	}
-	if caps.Stream == "" || len(caps.Codecs) == 0 {
-		t.Fatalf("/v1/healthz envelope = %+v, want stream and codecs", caps)
+	if caps.Stream == "" || caps.GOARCH == "" {
+		t.Fatalf("/v1/healthz envelope = %+v, want stream and goarch", caps)
 	}
 }
 
@@ -359,16 +384,34 @@ func TestHandlerRejectsOversizedJob(t *testing.T) {
 	}
 }
 
+// TestHTTPHandlerRejectsBadJob: /v1/run refuses every job the -worker
+// path refuses, with 400 naming ErrBadJob and before any shard runs —
+// not only undecodable bodies but unknown kinds, out-of-range shards
+// and unknown strategies.
 func TestHTTPHandlerRejectsBadJob(t *testing.T) {
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	for name, body := range map[string]string{
+		"garbage":          "{nope",
+		"unknown kind":     `{"spec":{"kind":"nope","strategy":"MO","runs":8}}`,
+		"invalid shard":    `{"spec":{"kind":"single","strategy":"MO","runs":8},"shard":{"index":3,"count":2}}`,
+		"unknown strategy": `{"spec":{"kind":"single","strategy":"NOPE","runs":8}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/run", mimeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (%s)", name, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), ErrBadJob.Error()) {
+			t.Fatalf("%s: answer %q does not name ErrBadJob", name, msg)
+		}
 	}
 	health, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {

@@ -9,12 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
-	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
 )
@@ -89,59 +90,9 @@ func TestHTTPRetriesTransientErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPWireNegotiation drives each encoding end to end over a real
-// server: the merged fleet report stays bit-identical, and result events
-// carry the negotiated encoding with non-zero byte counts.
-func TestHTTPWireNegotiation(t *testing.T) {
-	sp := testSpec()
-	want := single(t, sp)
-	srv := httptest.NewServer(Handler(context.Background()))
-	defer srv.Close()
-	for _, enc := range []report.Encoding{
-		report.EncodingJSON, report.EncodingBinary, report.EncodingBinaryGzip,
-	} {
-		log := &eventLog{}
-		got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-			Workers:  []Transport{&HTTP{URL: srv.URL, Encoding: enc}},
-			Progress: log.add,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", enc, err)
-		}
-		if norm(t, got) != norm(t, want) {
-			t.Fatalf("%s: fleet report differs from single-process report", enc)
-		}
-		checkWireEvents(t, log, enc)
-	}
-}
-
-// TestSubprocessWireNegotiation is the same property over the EnvWire
-// channel and a real worker process.
-func TestSubprocessWireNegotiation(t *testing.T) {
-	sp := testSpec()
-	want := single(t, sp)
-	for _, enc := range []report.Encoding{
-		report.EncodingJSON, report.EncodingBinary, report.EncodingBinaryGzip,
-	} {
-		log := &eventLog{}
-		tr := &Subprocess{
-			Label: "sub-wire", Argv: []string{os.Args[0]},
-			Env: []string{"CHAFFMEC_TEST_WORKER=1"}, Encoding: enc,
-		}
-		got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-			Workers: []Transport{tr}, Progress: log.add,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", enc, err)
-		}
-		if norm(t, got) != norm(t, want) {
-			t.Fatalf("%s: fleet report differs from single-process report", enc)
-		}
-		checkWireEvents(t, log, enc)
-	}
-}
-
-func checkWireEvents(t *testing.T, log *eventLog, enc report.Encoding) {
+// checkWireEvents asserts a fan-out over a real wire booked non-zero
+// bytes both ways on every result event.
+func checkWireEvents(t *testing.T, log *eventLog) {
 	t.Helper()
 	log.mu.Lock()
 	defer log.mu.Unlock()
@@ -151,15 +102,30 @@ func checkWireEvents(t *testing.T, log *eventLog, enc report.Encoding) {
 			continue
 		}
 		results++
-		if e.Wire.Encoding != enc {
-			t.Fatalf("%s: result event carries encoding %q", enc, e.Wire.Encoding)
-		}
 		if e.Wire.Sent <= 0 || e.Wire.Received <= 0 {
-			t.Fatalf("%s: result event wire = %+v, want non-zero bytes both ways", enc, e.Wire)
+			t.Fatalf("result event wire = %+v, want non-zero bytes both ways", e.Wire)
 		}
 	}
 	if results == 0 {
-		t.Fatalf("%s: no result events observed", enc)
+		t.Fatal("no result events observed")
+	}
+}
+
+// TestDecodeReportStreamBoundsDeclaredCounts: a 31-byte worker answer
+// declaring one report with one series of T=1 and 2^28 nodes is
+// refused without the decoder sizing anything from that count (sized
+// from it, the node slice alone is ~16 GiB).
+func TestDecodeReportStreamBoundsDeclaredCounts(t *testing.T) {
+	blob := "CMR1\x01" + strings.Repeat("\x00", 17) + "\x01\x00\x02\x00\x80\x80\x80\x80\x01"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeReportStream(strings.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated envelope declaring 2^28 nodes accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting it allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 
@@ -174,12 +140,13 @@ func TestCoordinatorBanksShards(t *testing.T) {
 	}
 	sp := testSpec()
 	want := single(t, sp)
+	fleet := StaticOf(InProcessFleet(2)...)
 	opts := func(log *eventLog) Options {
-		return Options{Workers: InProcessFleet(2), Store: st, Progress: log.add}
+		return Options{Store: st, Progress: log.add}
 	}
 
 	cold := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, opts(cold))
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, opts(cold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +163,7 @@ func TestCoordinatorBanksShards(t *testing.T) {
 
 	// Warm: every shard comes from the bank, no dispatch at all.
 	warm := &eventLog{}
-	got, err = Run(context.Background(), scenario.Job{Spec: sp}, opts(warm))
+	got, err = RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, opts(warm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +193,7 @@ func TestCoordinatorBanksShards(t *testing.T) {
 		t.Fatalf("corrupting an artifact: err=%v corrupted=%v", err, corrupted)
 	}
 	after := &eventLog{}
-	got, err = Run(context.Background(), scenario.Job{Spec: sp}, opts(after))
+	got, err = RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, opts(after))
 	if err != nil {
 		t.Fatal(err)
 	}

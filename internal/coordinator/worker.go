@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 
+	"chaffmec/internal/chaff"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
@@ -25,24 +26,6 @@ import (
 // SIGTERM: the prefix checkpoint is written and the worker exits with
 // ExitPartial. Unset (production) does nothing.
 const EnvCrash = "CHAFFMEC_WORKER_CRASH"
-
-// EnvWire is the report-encoding negotiation channel of the Subprocess
-// transport: the parent sets it to a report encoding name ("json",
-// "binary", "binary+gzip") and the worker writes its stdout report in
-// that format. Unset or unknown values fall back to the original JSON
-// contract, so a new worker binary under an old coordinator behaves
-// exactly as before.
-const EnvWire = "CHAFFMEC_WIRE"
-
-// wireFromEnv resolves EnvWire into the stdout report encoding.
-func wireFromEnv() report.Encoding {
-	switch enc := report.Encoding(os.Getenv(EnvWire)); enc {
-	case report.EncodingBinary, report.EncodingBinaryGzip:
-		return enc
-	default:
-		return report.EncodingJSON
-	}
-}
 
 // workerChunks splits a worker's shard into about this many chunks of
 // [minChunk, maxChunk] runs each, so an interrupted worker has
@@ -115,38 +98,23 @@ func runShardChunks(ctx context.Context, job scenario.Job, chunk int, afterChunk
 }
 
 // RunWorker is the worker half of the Subprocess transport — the body
-// of `cmd/experiments -worker`: ONE Job as JSON on in, its Report as
-// JSON on out. Malformed input (bad JSON, unknown kind, invalid shard
-// or precision block) returns an error wrapping ErrBadJob without
-// running anything. A cancellation (SIGTERM) mid-shard writes the
-// resumable prefix checkpoint to out and returns an error wrapping
-// ErrPartial; the caller maps these to ExitBadJob/ExitPartial.
+// of `cmd/experiments -worker`: ONE Job as JSON on in, its Report on
+// out as the worker wire's one contract (see writeReport). A job
+// readJob refuses returns an error wrapping ErrBadJob without running
+// anything. A cancellation (SIGTERM) mid-shard writes the resumable
+// prefix checkpoint to out and returns an error wrapping ErrPartial;
+// the caller maps these to ExitBadJob/ExitPartial.
 func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
-	dec := json.NewDecoder(in)
-	dec.DisallowUnknownFields()
-	var job scenario.Job
-	if err := dec.Decode(&job); err != nil {
-		return fmt.Errorf("%w: parsing stdin: %v", ErrBadJob, err)
-	}
-	if job.Spec.Kind == "" {
-		return fmt.Errorf("%w: spec needs a kind", ErrBadJob)
-	}
-	if !slices.Contains(scenario.Kinds(), job.Spec.Kind) {
-		return fmt.Errorf("%w: unknown kind %q", ErrBadJob, job.Spec.Kind)
-	}
-	if err := job.Shard.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadJob, err)
-	}
-	if _, err := scenario.NewPlan(job.Spec); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadJob, err)
+	job, err := readJob(in)
+	if err != nil {
+		return err
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	enc := wireFromEnv()
 	rep, err := runShardChunks(runCtx, job, 0, crashFromEnv(cancel))
 	if err != nil {
 		if rep != nil && rep.RunCount > 0 {
-			if werr := writeReportWire(out, rep, enc); werr != nil {
+			if werr := writeReport(out, rep); werr != nil {
 				return fmt.Errorf("writing partial checkpoint: %w", werr)
 			}
 			return fmt.Errorf("%w: wrote runs [%d,%d): %v",
@@ -154,7 +122,48 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
 		}
 		return err
 	}
-	return writeReportWire(out, rep, enc)
+	return writeReport(out, rep)
+}
+
+// readJob decodes one worker Job (unknown fields rejected) and admits
+// it: a registered kind, a valid shard selector, a plannable precision
+// block and known chaff strategies. Both worker entry points (-worker
+// and /v1/run) call it, so a job one refuses the other refuses too;
+// every error wraps ErrBadJob, and the decode error too so a caller
+// can still tell an overlong body.
+func readJob(r io.Reader) (scenario.Job, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var job scenario.Job
+	if err := dec.Decode(&job); err != nil {
+		return job, fmt.Errorf("%w: parsing job: %w", ErrBadJob, err)
+	}
+	sp := job.Spec
+	if sp.Kind == "" {
+		return job, fmt.Errorf("%w: spec needs a kind", ErrBadJob)
+	}
+	if !slices.Contains(scenario.Kinds(), sp.Kind) {
+		return job, fmt.Errorf("%w: unknown kind %q", ErrBadJob, sp.Kind)
+	}
+	if err := job.Shard.Validate(); err != nil {
+		return job, fmt.Errorf("%w: %v", ErrBadJob, err)
+	}
+	if _, err := scenario.NewPlan(sp); err != nil {
+		return job, fmt.Errorf("%w: %v", ErrBadJob, err)
+	}
+	names := append([]string{sp.Strategy}, sp.Strategies...)
+	for _, m := range sp.Population {
+		names = append(names, m.Strategy)
+	}
+	for _, name := range names {
+		// Matched the way chaff.NewByName matches it.
+		key := strings.ToUpper(strings.TrimSpace(name))
+		if name != "" && !slices.ContainsFunc(chaff.Names(), func(n string) bool { return strings.ToUpper(n) == key }) {
+			return job, fmt.Errorf("%w: unknown strategy %q (known: %s)",
+				ErrBadJob, name, strings.Join(chaff.Names(), ", "))
+		}
+	}
+	return job, nil
 }
 
 // crashFromEnv resolves the EnvCrash fault injection into a chunk
@@ -182,32 +191,10 @@ func crashFromEnv(cancel context.CancelFunc) func(i int) {
 	}
 }
 
-func writeReportJSON(w io.Writer, rep *report.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// writeReportWire writes one report in the negotiated wire encoding:
-// the legacy single-object JSON, or a count-1 binary envelope.
-func writeReportWire(w io.Writer, rep *report.Report, enc report.Encoding) error {
-	if enc == report.EncodingJSON || enc == "" {
-		return writeReportJSON(w, rep)
-	}
-	return report.WriteEncoded(w, []*report.Report{rep}, enc)
-}
-
-// negotiateWire picks the response encoding from a request's Accept
-// header; absent or JSON-only keeps the original JSON responses.
-func negotiateWire(accept string) report.Encoding {
-	switch {
-	case strings.Contains(accept, mimeBinaryGzip):
-		return report.EncodingBinaryGzip
-	case strings.Contains(accept, mimeBinary):
-		return report.EncodingBinary
-	default:
-		return report.EncodingJSON
-	}
+// writeReport writes one report as the worker wire's one contract: a
+// count-1 CMR1 envelope behind a gzip frame (mimeReports over HTTP).
+func writeReport(w io.Writer, rep *report.Report) error {
+	return report.WriteEncoded(w, []*report.Report{rep}, report.EncodingBinaryGzip)
 }
 
 // maxBodyBytes bounds the request body of every handler that reads
@@ -230,10 +217,12 @@ func bodyStatus(err error) int {
 // Handler serves the worker HTTP API of `experiments -serve` and
 // `-worker-daemon`:
 //
-//	POST /v1/run      Job JSON in, Report JSON out (206 + prefix report
-//	                  when the worker is terminated mid-shard)
+//	POST /v1/run      Job JSON in, the Report out as a count-1
+//	                  binary+gzip CMR1 envelope (206 + prefix report
+//	                  when the worker is terminated mid-shard; 400
+//	                  naming ErrBadJob for a job readJob refuses)
 //	GET  /v1/healthz  capability envelope: goarch, rng stream version,
-//	                  supported report codecs, warm-state build counter
+//	                  warm-state build counter
 //
 // ctx is the worker process's lifetime (SIGTERM cancels it): in-flight
 // shards abort at the next chunk boundary and respond with their
@@ -246,7 +235,6 @@ func Handler(ctx context.Context) http.Handler {
 		json.NewEncoder(w).Encode(Capabilities{ //nolint:errcheck // response already committed
 			GOARCH:         runtime.GOARCH,
 			Stream:         rng.StreamVersion,
-			Codecs:         localCodecs(),
 			TraceLabBuilds: scenario.TraceLabBuilds(),
 		})
 	})
@@ -255,11 +243,9 @@ func Handler(ctx context.Context) http.Handler {
 			http.Error(w, "POST a Job to /v1/run", http.StatusMethodNotAllowed)
 			return
 		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		var job scenario.Job
-		if err := dec.Decode(&job); err != nil {
-			http.Error(w, fmt.Sprintf("%v: %v", ErrBadJob, err), bodyStatus(err))
+		job, err := readJob(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			http.Error(w, err.Error(), bodyStatus(err))
 			return
 		}
 		// The shard aborts when either the request is abandoned or the
@@ -268,20 +254,16 @@ func Handler(ctx context.Context) http.Handler {
 		defer cancel()
 		stop := context.AfterFunc(ctx, cancel)
 		defer stop()
-		enc := negotiateWire(r.Header.Get("Accept"))
 		rep, err := RunShard(runCtx, job, 0)
-		if err != nil {
-			if rep != nil && rep.RunCount > 0 {
-				w.Header().Set("Content-Type", encodingMime(enc))
-				w.WriteHeader(http.StatusPartialContent)
-				writeReportWire(w, rep, enc) //nolint:errcheck // response already committed
-				return
-			}
+		if err != nil && (rep == nil || rep.RunCount == 0) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", encodingMime(enc))
-		writeReportWire(w, rep, enc) //nolint:errcheck // response already committed
+		w.Header().Set("Content-Type", mimeReports)
+		if err != nil {
+			w.WriteHeader(http.StatusPartialContent)
+		}
+		writeReport(w, rep) //nolint:errcheck // response already committed
 	})
 	return mux
 }

@@ -45,7 +45,9 @@ func DecodeReports(data []byte) ([]*Report, error) {
 		if err := gz.Close(); err != nil {
 			return nil, fmt.Errorf("report: gzip frame: %w", err)
 		}
-		data = raw
+		// Only the binary codec is ever gzip-framed (ReadReports refuses
+		// anything else inside the frame too).
+		return decodeBinary(raw)
 	}
 	if len(data) >= 4 && [4]byte(data[:4]) == binaryMagic {
 		return decodeBinary(data)
@@ -54,12 +56,15 @@ func DecodeReports(data []byte) ([]*Report, error) {
 }
 
 func decodeBinary(data []byte) ([]*Report, error) {
+	if len(data) < 4 || [4]byte(data[:4]) != binaryMagic {
+		return nil, fmt.Errorf("report: bad binary magic %q", data[:min(len(data), 4)])
+	}
 	d := &byteDecoder{data: data, off: 4} // past the magic
 	n := d.length("report count")
 	if d.err != nil {
 		return nil, fmt.Errorf("report: parsing binary: %w", d.err)
 	}
-	reps := make([]*Report, 0, min(n, 4096))
+	reps := make([]*Report, 0, min(n, decodePresize))
 	for i := 0; i < n && d.err == nil; i++ {
 		reps = append(reps, d.report())
 	}
@@ -126,10 +131,18 @@ func decodeVarintErr(n int) error {
 	return fmt.Errorf("varint overflows 64 bits")
 }
 
+// length reads an unsigned count and bounds it by maxDecodeLen and by
+// the bytes left: every counted element costs at least one byte, so a
+// larger count is corrupt and is rejected before anything is sized
+// from it.
 func (d *byteDecoder) length(what string) int {
 	v := d.uvarint()
-	if d.err == nil && v > maxDecodeLen {
+	switch {
+	case d.err != nil:
+	case v > maxDecodeLen:
 		d.err = fmt.Errorf("%s %d exceeds limit %d", what, v, maxDecodeLen)
+	case v > uint64(len(d.data)-d.off):
+		d.err = fmt.Errorf("%s %d exceeds the %d bytes left: %w", what, v, len(d.data)-d.off, io.ErrUnexpectedEOF)
 	}
 	return int(v)
 }

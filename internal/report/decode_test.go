@@ -2,7 +2,10 @@ package report
 
 import (
 	"bytes"
+	"compress/gzip"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"chaffmec/internal/engine"
@@ -11,7 +14,7 @@ import (
 // decodeCorpus builds the envelope shapes the codec tests exercise:
 // multi-report shards, a spec-less scalar-less report, an empty shard,
 // non-finite/subnormal float bits, and the empty list.
-func decodeCorpus(t *testing.T) [][]*Report {
+func decodeCorpus(t testing.TB) [][]*Report {
 	t.Helper()
 	lean := buildPart(t, 0, 7, 7)
 	lean.Spec = nil
@@ -109,6 +112,22 @@ func TestDecodeReportsCorruption(t *testing.T) {
 	if _, err := DecodeReports(gz.Bytes()[:gz.Len()-4]); err == nil {
 		t.Fatal("truncated gzip frame accepted")
 	}
+	// A gzip frame holds only the binary codec: JSON inside one is
+	// refused by both decoders alike.
+	var gzJSON bytes.Buffer
+	zw := gzip.NewWriter(&gzJSON)
+	if err := Write(zw, reps); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadReports(bytes.NewReader(gzJSON.Bytes())); err == nil {
+		t.Fatal("streaming accepted a gzip-framed JSON envelope")
+	}
+	if _, err := DecodeReports(gzJSON.Bytes()); err == nil {
+		t.Fatal("gzip-framed JSON envelope accepted")
+	}
 	// Garbage that is neither magic nor JSON fails as JSON.
 	if _, err := DecodeReports([]byte("CMXXnope")); err == nil {
 		t.Fatal("garbage accepted")
@@ -148,4 +167,92 @@ func TestDecodeReportsMergeSafe(t *testing.T) {
 	if got := jsonWire(t, []*Report{merged}); !bytes.Equal(got, wantWire) {
 		t.Fatalf("merge of zero-copy decoded shards leaked aliased memory:\n got %s\nwant %s", got, wantWire)
 	}
+}
+
+// hugeCountBlob declares, in 31 bytes, one report holding one series of
+// T=1 with 2^28 nodes — a decoder that sizes the node slice from the
+// declared count before reading the nodes behind it asks for ~16 GiB.
+const hugeCountBlob = "CMR1\x01" + "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x01\x00\x02\x00\x80\x80\x80\x80\x01"
+
+// TestDecodersBoundDeclaredCounts: every count a CMR1 stream declares
+// (nodes, slots, string and spec lengths, map sizes) is trusted only as
+// far as the bytes behind it go. Each blob declares 2^28 of something
+// and then ends; both decoders must reject it having allocated under
+// 1 MiB.
+func TestDecodersBoundDeclaredCounts(t *testing.T) {
+	const huge = "\x80\x80\x80\x80\x01"  // uvarint 2^28 (maxDecodeLen)
+	const hugeT = "\x80\x80\x80\x80\x02" // zigzag varint 2^28
+	header := "CMR1\x01" + strings.Repeat("\x00", 16)
+	blobs := map[string]string{
+		"series nodes":  hugeCountBlob,
+		"string length": "CMR1\x01" + huge,
+		"spec length":   header + huge,
+		"series count":  header + "\x00" + huge,
+		"series slots":  header + "\x00\x01\x00" + hugeT + "\x00\x01\x00\x02",
+		"scalar nodes":  header + "\x00\x00\x01\x00\x00" + huge,
+	}
+	if len(hugeCountBlob) != 31 {
+		t.Fatalf("hugeCountBlob is %d bytes, want 31", len(hugeCountBlob))
+	}
+	decoders := map[string]func([]byte) error{
+		"ReadReports": func(b []byte) error {
+			_, err := ReadReports(bytes.NewReader(b))
+			return err
+		},
+		"DecodeReports": func(b []byte) error {
+			_, err := DecodeReports(b)
+			return err
+		},
+	}
+	for name, blob := range blobs {
+		for dname, decode := range decoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decode([]byte(blob))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s/%s: truncated envelope accepted", name, dname)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("%s/%s: rejecting it allocated %d bytes, want < 1 MiB", name, dname, grew)
+			}
+		}
+	}
+}
+
+// FuzzReadReports checks the two report decoders against each other on
+// arbitrary bytes, seeded with every codec corpus envelope in every
+// encoding plus hugeCountBlob: neither panics, both accept or both
+// reject, and what they accept re-encodes to the same CMR1 bytes.
+func FuzzReadReports(f *testing.F) {
+	for _, reps := range decodeCorpus(f) {
+		for _, enc := range []Encoding{EncodingJSON, EncodingBinary, EncodingBinaryGzip} {
+			var buf bytes.Buffer
+			if err := WriteEncoded(&buf, reps, enc); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Add([]byte(hugeCountBlob))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		streamed, serr := ReadReports(bytes.NewReader(data))
+		decoded, derr := DecodeReports(data)
+		if (serr == nil) != (derr == nil) {
+			t.Fatalf("decoders disagree: ReadReports err = %v, DecodeReports err = %v", serr, derr)
+		}
+		if serr != nil {
+			return
+		}
+		var a, b bytes.Buffer
+		aerr := WriteReportsBinary(&a, streamed, false)
+		berr := WriteReportsBinary(&b, decoded, false)
+		if (aerr == nil) != (berr == nil) {
+			t.Fatalf("re-encode disagrees: streamed err = %v, decoded err = %v", aerr, berr)
+		}
+		if aerr == nil && !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("the decoders' reports re-encode to different bytes")
+		}
+	})
 }

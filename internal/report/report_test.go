@@ -14,7 +14,7 @@ import (
 // buildPart assembles a deterministic partial report covering the run
 // range [start, end) of a toy 2-slot experiment: run r contributes the
 // series [r, 2r] and the scalar r².
-func buildPart(t *testing.T, start, end, total int) *Report {
+func buildPart(t testing.TB, start, end, total int) *Report {
 	t.Helper()
 	track := engine.NewSeriesStatsAt(2, start)
 	sq := engine.NewScalarStatsAt(start)
