@@ -316,27 +316,7 @@ func TestHandlerV1Contract(t *testing.T) {
 	if got := resp.Header.Get("Deprecation"); got != "" {
 		t.Fatalf("/v1/run: Deprecation header = %q, want none", got)
 	}
-	gz, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("/v1/run: body is not gzip-framed: %v", err)
-	}
-	raw, err := io.ReadAll(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte("CMR1")) {
-		t.Fatalf("/v1/run: gzip frame holds %q..., want a CMR1 envelope", raw[:min(len(raw), 8)])
-	}
-	reps, err := report.DecodeReports(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 1 {
-		t.Fatalf("/v1/run: envelope holds %d reports, want 1", len(reps))
-	}
-	if norm(t, reps[0]) != norm(t, want) {
-		t.Fatal("/v1/run: response differs from the direct shard run")
-	}
+	checkWireBody(t, "/v1/run", body, want)
 
 	v1health, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
@@ -349,6 +329,34 @@ func TestHandlerV1Contract(t *testing.T) {
 	}
 	if caps.Stream == "" || caps.GOARCH == "" {
 		t.Fatalf("/v1/healthz envelope = %+v, want stream and goarch", caps)
+	}
+}
+
+// checkWireBody asserts body is the one worker wire format — a
+// gzip-framed CMR1 envelope holding exactly one report — and that the
+// report equals want.
+func checkWireBody(t *testing.T, name string, body []byte, want *report.Report) {
+	t.Helper()
+	gz, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s: body is not gzip-framed: %v", name, err)
+	}
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("CMR1")) {
+		t.Fatalf("%s: gzip frame holds %q..., want a CMR1 envelope", name, raw[:min(len(raw), 8)])
+	}
+	reps, err := report.DecodeReports(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 1 {
+		t.Fatalf("%s: envelope holds %d reports, want 1", name, len(reps))
+	}
+	if norm(t, reps[0]) != norm(t, want) {
+		t.Fatalf("%s: response differs from the direct shard run", name)
 	}
 }
 

@@ -1,13 +1,16 @@
 package coordinator
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -16,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"chaffmec/internal/engine"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
 )
@@ -109,6 +113,102 @@ func checkWireEvents(t *testing.T, log *eventLog) {
 	if results == 0 {
 		t.Fatal("no result events observed")
 	}
+}
+
+// TestHTTPWireNegotiation: /v1/run negotiates nothing. A caller asking
+// for the JSON or plain-binary formats the wire once offered still gets
+// the one gzip-framed CMR1 envelope, and a fan-out over the HTTP
+// transport stays bit-identical with wire bytes booked on every result.
+func TestHTTPWireNegotiation(t *testing.T) {
+	srv := httptest.NewServer(Handler(context.Background()))
+	defer srv.Close()
+	job := scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)}
+	blob, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scenario.RunJob(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{mimeJSON, "application/x-chaffmec-reports", mimeReports} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/run", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", mimeJSON)
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %s: HTTP %d", accept, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Content-Type"); got != mimeReports {
+			t.Fatalf("Accept %s: Content-Type = %q, want %q", accept, got, mimeReports)
+		}
+		checkWireBody(t, "Accept "+accept, body, want)
+	}
+
+	sp := testSpec()
+	log := &eventLog{}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(&HTTP{URL: srv.URL}), Options{Progress: log.add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, single(t, sp)) {
+		t.Fatal("HTTP fleet report differs from single-process report")
+	}
+	checkWireEvents(t, log)
+}
+
+// TestSubprocessWireNegotiation is the same property for the -worker
+// protocol: a stale CHAFFMEC_WIRE in the worker's environment, the
+// variable that once chose its output format, changes nothing on stdout
+// or in the merged fleet report.
+func TestSubprocessWireNegotiation(t *testing.T) {
+	job := scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)}
+	blob, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scenario.RunJob(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range []string{"json", "binary", "binary+gzip"} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "CHAFFMEC_TEST_WORKER=1", "CHAFFMEC_WIRE="+enc)
+		cmd.Stdin = bytes.NewReader(blob)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("CHAFFMEC_WIRE=%s: worker: %v", enc, err)
+		}
+		checkWireBody(t, "CHAFFMEC_WIRE="+enc, out, want)
+	}
+
+	sp := testSpec()
+	log := &eventLog{}
+	tr := &Subprocess{
+		Label: "sub-wire", Argv: []string{os.Args[0]},
+		Env: []string{"CHAFFMEC_TEST_WORKER=1", "CHAFFMEC_WIRE=json"},
+	}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(tr),
+		Options{Progress: log.add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, single(t, sp)) {
+		t.Fatal("subprocess fleet report differs from single-process report")
+	}
+	checkWireEvents(t, log)
 }
 
 // TestDecodeReportStreamBoundsDeclaredCounts: a 31-byte worker answer
